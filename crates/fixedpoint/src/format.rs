@@ -115,17 +115,25 @@ impl QFormat {
 
     /// Quantization step `2^(−fractional_bits)`.
     pub fn step(&self) -> f64 {
-        2f64.powi(-self.fractional_bits)
+        pow2(-self.fractional_bits)
+    }
+
+    /// Exact reciprocal of the step, `2^fractional_bits`.
+    ///
+    /// Multiplying by it gives the same `f64` as dividing by
+    /// [`QFormat::step`]: both are the real `x · 2^f` correctly rounded.
+    pub fn inverse_step(&self) -> f64 {
+        pow2(self.fractional_bits)
     }
 
     /// Largest representable value `2^m − 2^(−f)`.
     pub fn max_value(&self) -> f64 {
-        2f64.powi(self.integer_bits) - self.step()
+        pow2(self.integer_bits) - self.step()
     }
 
     /// Smallest representable value `−2^m`.
     pub fn min_value(&self) -> f64 {
-        -(2f64.powi(self.integer_bits))
+        -pow2(self.integer_bits)
     }
 
     /// `true` if `x` is exactly representable in this format.
@@ -149,6 +157,13 @@ impl QFormat {
         let k = x / self.step();
         k == k.round()
     }
+}
+
+/// `2^e`, built from the exponent bits. Legal formats keep `|e| <= 62`, so
+/// the power is a normal `f64` and equals `2f64.powi(e)` exactly.
+fn pow2(e: i32) -> f64 {
+    debug_assert!((-1022..=1023).contains(&e));
+    f64::from_bits(((1023 + e) as u64) << 52)
 }
 
 impl fmt::Display for QFormat {

@@ -119,11 +119,12 @@ impl Quantizer {
             return x;
         }
         let step = self.format.step();
-        let k = x / step;
+        // Bitwise equal to `x / step` (see `QFormat::inverse_step`).
+        let k = x * self.format.inverse_step();
         let k = match self.rounding {
             RoundingMode::Truncate => k.floor(),
             RoundingMode::Nearest => k.round(), // f64::round = ties away from zero
-            RoundingMode::NearestEven => round_ties_even(k),
+            RoundingMode::NearestEven => k.round_ties_even(),
         };
         let v = k * step;
         let (lo, hi) = (self.format.min_value(), self.format.max_value());
@@ -152,20 +153,6 @@ impl Quantizer {
         for x in xs {
             *x = self.quantize(*x);
         }
-    }
-}
-
-fn round_ties_even(k: f64) -> f64 {
-    let r = k.round();
-    if (k - k.trunc()).abs() == 0.5 {
-        // Tie: pick the even neighbour.
-        if r % 2.0 == 0.0 {
-            r
-        } else {
-            r - (r - k).signum()
-        }
-    } else {
-        r
     }
 }
 
@@ -202,6 +189,14 @@ mod tests {
         assert_eq!(q.quantize(2.5), 2.0);
         assert_eq!(q.quantize(-0.5), 0.0);
         assert_eq!(q.quantize(-1.5), -2.0);
+    }
+
+    #[test]
+    fn nearest_even_keeps_the_sign_of_a_negative_tie_to_zero() {
+        // IEEE roundTiesToEven maps -0.5 to -0.0, not +0.0.
+        let q = Quantizer::with_modes(fmt(2, 0), RoundingMode::NearestEven, OverflowMode::Saturate);
+        assert_eq!(q.quantize(-0.5).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(q.quantize(0.5).to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -35,6 +35,9 @@ pub const BLOCK: usize = 8;
 /// Filter length.
 pub const TAPS: usize = 8;
 
+/// Pixels in one output block.
+const BLOCK_PIXELS: usize = BLOCK * BLOCK;
+
 /// HEVC luma interpolation filter coefficients (×1/64) for quarter-pel
 /// phases 1–3 (phase 0 is the integer-pel identity).
 pub const LUMA_FILTERS: [[f64; TAPS]; 3] = [
@@ -78,7 +81,7 @@ pub struct McJob {
 pub struct HevcMcBenchmark {
     image: Vec<Vec<f64>>,
     jobs: Vec<McJob>,
-    references: Vec<Vec<f64>>,
+    references: Vec<[f64; BLOCK_PIXELS]>,
 }
 
 impl HevcMcBenchmark {
@@ -126,7 +129,7 @@ impl HevcMcBenchmark {
             .collect();
         let references = jobs
             .iter()
-            .map(|job| interpolate_block(&image, *job, &mut Passthrough))
+            .map(|job| interpolate_block(&image, *job, &Passthrough))
             .collect();
         HevcMcBenchmark {
             image,
@@ -247,37 +250,38 @@ impl McQuant for SiteQuantizers {
 }
 
 /// 8-tap filter at one position, with per-tap product and accumulator hooks.
-fn filter8(samples: &[f64], taps: &[f64; TAPS], vertical: bool, q: &mut dyn McQuant) -> f64 {
+fn filter8<Q: McQuant>(samples: &[f64], taps: &[f64; TAPS], vertical: bool, q: &Q) -> f64 {
     let mut acc = 0.0;
     for (t, &h) in taps.iter().enumerate() {
-        let product = q.product(t, vertical, h / 64.0 * samples[t]);
+        // `h * 2⁻⁶` is exactly `h / 64`.
+        let product = q.product(t, vertical, h * (1.0 / 64.0) * samples[t]);
         acc = q.accumulator(vertical, acc + product);
     }
     acc
 }
 
-/// Interpolates one 8×8 block (the module under test).
-fn interpolate_block(image: &[Vec<f64>], job: McJob, q: &mut dyn McQuant) -> Vec<f64> {
+/// Interpolates one 8×8 block (the module under test), row-major.
+fn interpolate_block<Q: McQuant>(image: &[Vec<f64>], job: McJob, q: &Q) -> [f64; BLOCK_PIXELS] {
     let fx = job.frac_x as usize;
     let fy = job.frac_y as usize;
-    let mut out = Vec::with_capacity(BLOCK * BLOCK);
+    let mut out = [0.0; BLOCK_PIXELS];
     match (fx, fy) {
         (0, 0) => {
             for dy in 0..BLOCK {
                 for dx in 0..BLOCK {
-                    out.push(q.output(image[job.y + dy][job.x + dx]));
+                    out[dy * BLOCK + dx] = q.output(image[job.y + dy][job.x + dx]);
                 }
             }
         }
         (_, 0) => {
             let taps = &LUMA_FILTERS[fx - 1];
             for dy in 0..BLOCK {
+                let row = &image[job.y + dy];
                 for dx in 0..BLOCK {
-                    let row = &image[job.y + dy];
                     let window = &row[job.x + dx - 3..job.x + dx + 5];
                     let v = filter8(window, taps, false, q);
                     let v = q.path_output(McPath::HorizontalOnly, v);
-                    out.push(q.output(v));
+                    out[dy * BLOCK + dx] = q.output(v);
                 }
             }
         }
@@ -285,12 +289,11 @@ fn interpolate_block(image: &[Vec<f64>], job: McJob, q: &mut dyn McQuant) -> Vec
             let taps = &LUMA_FILTERS[fy - 1];
             for dy in 0..BLOCK {
                 for dx in 0..BLOCK {
-                    let col: Vec<f64> = (0..TAPS)
-                        .map(|t| image[job.y + dy + t - 3][job.x + dx])
-                        .collect();
+                    let col: [f64; TAPS] =
+                        std::array::from_fn(|t| image[job.y + dy + t - 3][job.x + dx]);
                     let v = filter8(&col, taps, true, q);
                     let v = q.path_output(McPath::VerticalOnly, v);
-                    out.push(q.output(v));
+                    out[dy * BLOCK + dx] = q.output(v);
                 }
             }
         }
@@ -298,7 +301,7 @@ fn interpolate_block(image: &[Vec<f64>], job: McJob, q: &mut dyn McQuant) -> Vec
             let h_taps = &LUMA_FILTERS[fx - 1];
             let v_taps = &LUMA_FILTERS[fy - 1];
             // Horizontal pass over BLOCK + 7 rows.
-            let mut intermediate = vec![vec![0.0; BLOCK]; BLOCK + TAPS - 1];
+            let mut intermediate = [[0.0; BLOCK]; BLOCK + TAPS - 1];
             for (r, row_out) in intermediate.iter_mut().enumerate() {
                 let row = &image[job.y + r - 3];
                 for (dx, cell) in row_out.iter_mut().enumerate() {
@@ -310,10 +313,10 @@ fn interpolate_block(image: &[Vec<f64>], job: McJob, q: &mut dyn McQuant) -> Vec
             // Vertical pass.
             for dy in 0..BLOCK {
                 for dx in 0..BLOCK {
-                    let col: Vec<f64> = (0..TAPS).map(|t| intermediate[dy + t][dx]).collect();
+                    let col: [f64; TAPS] = std::array::from_fn(|t| intermediate[dy + t][dx]);
                     let v = filter8(&col, v_taps, true, q);
                     let v = q.path_output(McPath::TwoD, v);
-                    out.push(q.output(v));
+                    out[dy * BLOCK + dx] = q.output(v);
                 }
             }
         }
@@ -332,10 +335,10 @@ impl WordLengthBenchmark for HevcMcBenchmark {
 
     fn noise_power(&self, word_lengths: &[i32]) -> Result<NoisePower, KernelError> {
         self.validate(word_lengths)?;
-        let mut quantizers = SiteQuantizers::from_word_lengths(word_lengths)?;
+        let quantizers = SiteQuantizers::from_word_lengths(word_lengths)?;
         let mut meter = NoiseMeter::new();
         for (job, reference) in self.jobs.iter().zip(&self.references) {
-            let approx = interpolate_block(&self.image, *job, &mut quantizers);
+            let approx = interpolate_block(&self.image, *job, &quantizers);
             meter.record_slices(reference, &approx);
         }
         Ok(meter.noise_power())
@@ -387,7 +390,7 @@ mod tests {
             frac_x: 2,
             frac_y: 2,
         };
-        let out = interpolate_block(&image, job, &mut Passthrough);
+        let out = interpolate_block(&image, job, &Passthrough);
         for v in out {
             assert!((v - 0.5).abs() < 1e-12);
         }

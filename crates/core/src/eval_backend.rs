@@ -1,9 +1,9 @@
 //! The fulfillment half of the plan/fulfill evaluation protocol.
 //!
-//! The hybrid evaluator's batch path ([`crate::HybridEvaluator::plan_batch`])
-//! classifies a candidate frontier into cache hits, krigeable queries, and a
-//! deduplicated list of [`SimulationRequest`]s without touching the
-//! simulator. *Fulfilling* those requests — actually running the
+//! The hybrid evaluator's planning phase classifies every query — a single
+//! [`crate::HybridEvaluator::evaluate`] is a one-slot batch — into cache
+//! hits, krigeable queries, and a deduplicated list of
+//! [`SimulationRequest`]s without touching the simulator. *Fulfilling* those requests — actually running the
 //! simulations — is delegated to an [`EvalBackend`], so the same planning
 //! logic can run against an inline simulator (zero overhead, the blanket
 //! impl below) or against a worker pool that fans the requests out in
@@ -55,11 +55,9 @@ pub trait EvalBackend {
     /// a failed batch may be committed.
     fn fulfill(&mut self, requests: &[SimulationRequest]) -> Result<Vec<f64>, EvalError>;
 
-    /// Runs a single simulation.
-    ///
-    /// This is the hot sequential path (`HybridEvaluator::evaluate` and
-    /// exact audits); inline backends answer it with a direct simulator
-    /// call and no allocation.
+    /// Runs a single simulation outside any plan (the hybrid evaluator
+    /// itself simulates only through [`EvalBackend::fulfill`]); inline
+    /// backends answer it with a direct simulator call and no allocation.
     ///
     /// # Errors
     ///

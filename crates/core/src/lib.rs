@@ -71,7 +71,7 @@ pub use error::CoreError;
 pub use eval_backend::{EvalBackend, SimulationRequest};
 pub use evaluator::{AccuracyEvaluator, EvalError, FiniteGuard, FnEvaluator};
 pub use hybrid::{
-    ApproxSettings, BatchPlan, GatePolicy, HybridEvaluator, HybridObs, HybridSettings, HybridStats,
+    ApproxSettings, GatePolicy, HybridEvaluator, HybridObs, HybridSettings, HybridStats,
     NuggetPolicy, Outcome, VariogramPolicy,
 };
 pub use hybrid_snapshot::SessionSnapshot;

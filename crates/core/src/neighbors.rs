@@ -92,6 +92,26 @@ impl NeighborIndex {
         position
     }
 
+    /// Drops every configuration inserted at position `len` or later,
+    /// restoring the index to its state after the first `len` insertions.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        while self.configs.len() > len {
+            let config = self.configs.pop().expect("length checked above");
+            self.values.pop();
+            let sum = coordinate_sum(&config);
+            let bucket = self
+                .by_sum
+                .get_mut(&sum)
+                .expect("every stored sum has a bucket");
+            // Positions are pushed in increasing order, so the newest
+            // insertion is the last entry of its bucket.
+            bucket.pop();
+            if bucket.is_empty() {
+                self.by_sum.remove(&sum);
+            }
+        }
+    }
+
     /// Exact-match lookup (for the duplicate cache).
     ///
     /// When a configuration was stored more than once, the most recent
@@ -271,6 +291,25 @@ mod tests {
         assert_eq!(index.len(), 0);
         assert!(index.within(&[1, 2], 10.0).is_empty());
         assert_eq!(index.position_of(&[1, 2]), None);
+    }
+
+    #[test]
+    fn truncate_restores_the_shorter_index() {
+        let sites: Vec<Config> = vec![vec![4, 4], vec![5, 3], vec![4, 4], vec![6, 6], vec![2, 6]];
+        let mut index = NeighborIndex::new(DistanceMetric::L1);
+        let mut prefix = NeighborIndex::new(DistanceMetric::L1);
+        for (i, c) in sites.iter().enumerate() {
+            index.insert(c.clone(), i as f64);
+            if i < 2 {
+                prefix.insert(c.clone(), i as f64);
+            }
+        }
+        index.truncate(2);
+        assert_eq!(index.configs(), prefix.configs());
+        assert_eq!(index.values(), prefix.values());
+        assert_eq!(index.by_sum, prefix.by_sum);
+        assert_eq!(index.position_of(&[4, 4]), Some(0));
+        assert_eq!(index.position_of(&[6, 6]), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Gate-policy parity and kriging-variance property suite.
 //!
-//! Pins three contracts introduced by the pluggable decision gate:
+//! Pins four contracts of the pluggable decision gate:
 //!
 //! * **Parity** — [`GatePolicy::Fixed`] and a `Variance` gate with an
 //!   infinite threshold are **bitwise identical** (outcome values,
@@ -14,12 +14,15 @@
 //!   neighbour sets, σ² ≈ 0 when the target coincides with a system site
 //!   (within jitter tolerance), and the multi-RHS batch variance is
 //!   bitwise equal to single-target variance.
+//! * **Batch rule** — a gate-rejected slot's simulation enters the store at
+//!   the end of its batch, so later slots of the batch do not see it.
 
 use krigeval_core::kriging::{FactoredKriging, KrigingScratch};
+use krigeval_core::trace::Source;
 use krigeval_core::variogram::VariogramModel;
 use krigeval_core::{
     Config, DistanceMetric, EvalError, FnEvaluator, GatePolicy, HybridEvaluator, HybridSettings,
-    HybridStats, NuggetPolicy, Outcome,
+    HybridStats, NuggetPolicy, Outcome, VariogramPolicy,
 };
 use proptest::prelude::*;
 
@@ -322,4 +325,54 @@ proptest! {
             prop_assert_eq!(single.variance.to_bits(), p.variance.to_bits());
         }
     }
+}
+
+/// The batch rule for gate-rejected (and failed) solves: their simulations
+/// enter the store at the end of the batch, so later slots of the same
+/// batch do not see them as neighbours. One-slot calls store them at once.
+#[test]
+fn gate_rejected_simulations_enter_the_store_at_the_end_of_a_batch() {
+    let session = || {
+        let mut h = HybridEvaluator::new(
+            smooth_eval(),
+            HybridSettings {
+                variogram: VariogramPolicy::Fixed(VariogramModel::linear(1.0)),
+                gate: GatePolicy::Variance { threshold: 1.0 },
+                ..HybridSettings::default()
+            },
+        );
+        for a in 4..8 {
+            for b in 4..8 {
+                h.simulate_exact(&vec![a, b]).unwrap();
+            }
+        }
+        h
+    };
+    // `x` has four neighbours two to three steps away (σ² = 4, rejected);
+    // `y` has only three until `x` is stored one step away.
+    let (x, y) = (vec![9, 6], vec![9, 7]);
+
+    let mut single = session();
+    assert_eq!(single.evaluate(&x).unwrap().source(), Source::Simulated);
+    let Outcome::Kriged { neighbors, .. } = single.evaluate(&y).unwrap() else {
+        panic!("a stored x makes y krigeable");
+    };
+    assert_eq!(neighbors, 4, "y's system includes x");
+
+    let mut batch = session();
+    let out = batch.evaluate_batch(&[x.clone(), y.clone()]).unwrap();
+    assert_eq!(out[0].source(), Source::Simulated);
+    assert_eq!(
+        out[1].source(),
+        Source::Simulated,
+        "x is not yet stored when y is planned"
+    );
+    for h in [&single, &batch] {
+        assert_eq!(h.stats().gate_rejections, 1);
+    }
+    assert_eq!(single.stats().kriged, 1);
+    assert_eq!(batch.stats().kriged, 0);
+    // The batch requested y and stored x's simulation after it.
+    let stored = batch.simulated_configs();
+    assert_eq!(&stored[stored.len() - 2..], &[y, x]);
 }

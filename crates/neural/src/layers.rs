@@ -72,38 +72,46 @@ impl Conv2d {
 
     /// Runs the convolution (stride 1, same padding).
     ///
+    /// Weight-stationary: each output plane starts at its bias, then every
+    /// tap `(ic, ky, kx)` in ascending order adds `w · input` over the
+    /// output rectangle whose source pixels lie inside the image. Each
+    /// output thus sees its bias and then the in-range products in the
+    /// same `(ic, ky, kx)` order as a per-pixel accumulator would, so the
+    /// result is bitwise that of the output-stationary loop.
+    ///
     /// # Panics
     ///
     /// Panics if `input.channels() != in_channels`.
     pub fn forward(&self, input: &Tensor3) -> Tensor3 {
         assert_eq!(input.channels(), self.in_channels, "input channel mismatch");
         let (h, w) = (input.height(), input.width());
-        let pad = self.kernel / 2;
+        let (k, pad) = (self.kernel, self.kernel / 2);
+        let plane = h * w;
         let mut out = Tensor3::zeros(self.out_channels, h, w);
-        for oc in 0..self.out_channels {
-            for y in 0..h {
-                for x in 0..w {
-                    let mut acc = self.bias[oc];
-                    for ic in 0..self.in_channels {
-                        for ky in 0..self.kernel {
-                            let sy = y as isize + ky as isize - pad as isize;
-                            if sy < 0 || sy >= h as isize {
-                                continue;
-                            }
-                            for kx in 0..self.kernel {
-                                let sx = x as isize + kx as isize - pad as isize;
-                                if sx < 0 || sx >= w as isize {
-                                    continue;
-                                }
-                                let wgt =
-                                    self.weights[((oc * self.in_channels + ic) * self.kernel + ky)
-                                        * self.kernel
-                                        + kx];
-                                acc += wgt * input[(ic, sy as usize, sx as usize)];
+        let filters = self.weights.chunks_exact(self.in_channels * k * k);
+        let planes = out.as_mut_slice().chunks_exact_mut(plane);
+        for ((out_plane, filter), &bias) in planes.zip(filters).zip(&self.bias) {
+            out_plane.fill(bias);
+            let sources = input.as_slice().chunks_exact(plane);
+            for (in_plane, taps) in sources.zip(filter.chunks_exact(k * k)) {
+                for (ky, row_taps) in taps.chunks_exact(k).enumerate() {
+                    // Output rows `y` with source row `y + ky - pad` in `0..h`.
+                    let (y0, y1) = (pad.saturating_sub(ky), (h + pad).saturating_sub(ky).min(h));
+                    for (kx, &wgt) in row_taps.iter().enumerate() {
+                        let (x0, x1) =
+                            (pad.saturating_sub(kx), (w + pad).saturating_sub(kx).min(w));
+                        // A kernel wider than the image inverts the range.
+                        if x0 >= x1 {
+                            continue;
+                        }
+                        for y in y0..y1 {
+                            let src = (y + ky - pad) * w + x0 + kx - pad;
+                            let dst = &mut out_plane[y * w + x0..y * w + x1];
+                            for (o, &v) in dst.iter_mut().zip(&in_plane[src..src + x1 - x0]) {
+                                *o += wgt * v;
                             }
                         }
                     }
-                    out[(oc, y, x)] = acc;
                 }
             }
         }
@@ -219,6 +227,96 @@ pub fn argmax(logits: &[f64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The output-stationary loop `forward` replaced: one accumulator per
+    /// output pixel, seeded with the bias, summing every in-range tap in
+    /// `(ic, ky, kx)` order.
+    fn output_stationary(conv: &Conv2d, input: &Tensor3) -> Tensor3 {
+        let (h, w) = (input.height(), input.width());
+        let pad = conv.kernel / 2;
+        let mut out = Tensor3::zeros(conv.out_channels, h, w);
+        for oc in 0..conv.out_channels {
+            for y in 0..h {
+                for x in 0..w {
+                    let mut acc = conv.bias[oc];
+                    for ic in 0..conv.in_channels {
+                        for ky in 0..conv.kernel {
+                            let sy = y as isize + ky as isize - pad as isize;
+                            if sy < 0 || sy >= h as isize {
+                                continue;
+                            }
+                            for kx in 0..conv.kernel {
+                                let sx = x as isize + kx as isize - pad as isize;
+                                if sx < 0 || sx >= w as isize {
+                                    continue;
+                                }
+                                let wgt =
+                                    conv.weights[((oc * conv.in_channels + ic) * conv.kernel + ky)
+                                        * conv.kernel
+                                        + kx];
+                                acc += wgt * input[(ic, sy as usize, sx as usize)];
+                            }
+                        }
+                    }
+                    out[(oc, y, x)] = acc;
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn forward_is_bitwise_the_output_stationary_loop() {
+        // (in, out, kernel, height, width)
+        let shapes = [
+            // The network's layers at fast (12×12) and paper (16×16) scale:
+            // conv1, fire squeeze / expand1 / expand3, class conv.
+            (3, 8, 3, 12, 12),
+            (3, 8, 3, 16, 16),
+            (8, 4, 1, 6, 6),
+            (16, 4, 1, 6, 6),
+            (16, 4, 1, 3, 3),
+            (4, 8, 1, 6, 6),
+            (4, 8, 3, 6, 6),
+            (4, 8, 3, 3, 3),
+            (4, 8, 3, 8, 8),
+            (4, 8, 3, 4, 4),
+            (16, 10, 1, 3, 3),
+            (16, 10, 1, 4, 4),
+            // 5×5 kernels.
+            (2, 3, 5, 7, 7),
+            (2, 3, 5, 4, 9),
+            // 1×1 images.
+            (2, 3, 1, 1, 1),
+            (2, 3, 3, 1, 1),
+            (2, 3, 5, 1, 1),
+            // Non-square images.
+            (3, 2, 3, 5, 9),
+            (3, 2, 3, 9, 5),
+            (1, 2, 3, 1, 7),
+            (1, 2, 3, 7, 1),
+            // Kernels wider than the image (`pad > w`: inverted column range).
+            (2, 2, 5, 3, 1),
+            (2, 2, 7, 2, 2),
+            (1, 1, 9, 3, 2),
+        ];
+        let mut rng = StdRng::seed_from_u64(0xC0_4D);
+        for (case, &(ic, oc, k, h, w)) in shapes.iter().enumerate() {
+            let conv = Conv2d::seeded(ic, oc, k, case as u64);
+            for _ in 0..3 {
+                let data = (0..ic * h * w).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let x = Tensor3::from_vec(ic, h, w, data);
+                let bits =
+                    |t: &Tensor3| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&conv.forward(&x)),
+                    bits(&output_stationary(&conv, &x)),
+                    "shape {:?}",
+                    (ic, oc, k, h, w)
+                );
+            }
+        }
+    }
 
     #[test]
     fn conv_is_deterministic_per_seed() {

@@ -30,16 +30,12 @@ impl Tensor3 {
     ///
     /// Panics if any dimension is zero.
     pub fn zeros(channels: usize, height: usize, width: usize) -> Tensor3 {
-        assert!(
-            channels > 0 && height > 0 && width > 0,
-            "tensor dimensions must be positive"
-        );
-        Tensor3 {
+        Tensor3::from_vec(
             channels,
             height,
             width,
-            data: vec![0.0; channels * height * width],
-        }
+            vec![0.0; channels * height * width],
+        )
     }
 
     /// Builds a tensor from a flat CHW vector.
@@ -54,9 +50,16 @@ impl Tensor3 {
             channels * height * width,
             "data length does not match dimensions"
         );
-        let mut t = Tensor3::zeros(channels, height, width);
-        t.data = data;
-        t
+        assert!(
+            channels > 0 && height > 0 && width > 0,
+            "tensor dimensions must be positive"
+        );
+        Tensor3 {
+            channels,
+            height,
+            width,
+            data,
+        }
     }
 
     /// Number of channels.
@@ -189,6 +192,12 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_dimension_panics() {
         let _ = Tensor3::zeros(0, 2, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn from_vec_zero_dimension_panics() {
+        let _ = Tensor3::from_vec(0, 2, 2, vec![]);
     }
 
     #[test]

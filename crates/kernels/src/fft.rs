@@ -10,11 +10,27 @@
 //!   each of the 6 stages;
 //! * variables 6–9: the twiddle-multiplier output word-length of stages
 //!   2–5 (stages 0 and 1 only multiply by ±1 and ∓j, which are exact).
+//!
+//! # Checkpoints
+//!
+//! The output after stage `s` depends only on the adder word lengths of
+//! stages `0..=s` and the twiddle word lengths of stages `2..=s`: a prefix
+//! of the pipeline. `noise_power` keeps the all-frame output of every
+//! stage for the last configuration and restarts from the longest stage
+//! prefix the new configuration shares with it; the `Q0.15` input
+//! quantization and the bit-reverse permutation are done once, at
+//! construction. Each frame's values go through the same operations in
+//! the same order whatever the frame loop's position, and the noise meter
+//! records them frame by frame as before, so results are bit-exact. The
+//! checkpoints hold `6 × frames × 1 KiB`: 48 KiB at fast scale (8
+//! frames), 384 KiB at paper scale (64 frames).
 
 use std::f64::consts::PI;
+use std::sync::OnceLock;
 
 use krigeval_fixedpoint::{NoiseMeter, NoisePower, QFormat, Quantizer};
 
+use crate::memo::{MemoCell, StageMemo};
 use crate::signal::complex_white_noise;
 use crate::{KernelError, WordLengthBenchmark};
 
@@ -27,6 +43,10 @@ pub const TWIDDLE_STAGES: std::ops::Range<usize> = 2..6;
 
 /// Complex value as a `(re, im)` pair.
 pub type Complex = (f64, f64);
+
+/// Number of word-length variables: one adder per stage plus one twiddle
+/// multiplier per non-trivial stage.
+const NUM_VARIABLES: usize = STAGES + (TWIDDLE_STAGES.end - TWIDDLE_STAGES.start);
 
 /// The 64-point fixed-point FFT benchmark.
 ///
@@ -45,8 +65,40 @@ pub type Complex = (f64, f64);
 /// ```
 #[derive(Debug, Clone)]
 pub struct FftBenchmark {
-    frames: Vec<Vec<Complex>>,
-    references: Vec<Vec<Complex>>,
+    /// `Q0.15`-quantized, bit-reverse-permuted input frames, back to back:
+    /// every configuration starts from these.
+    inputs: Vec<Complex>,
+    /// Double-precision outputs, back to back in frame order.
+    references: Vec<Complex>,
+    checkpoints: MemoCell<Checkpoints>,
+}
+
+/// The all-frame output of every stage for the last configuration, each
+/// under the word lengths it depends on ([`stage_key`]).
+#[derive(Debug)]
+struct Checkpoints([StageMemo<[i32; NUM_VARIABLES], Vec<Complex>>; STAGES]);
+
+impl Default for Checkpoints {
+    fn default() -> Checkpoints {
+        Checkpoints(std::array::from_fn(|_| StageMemo::new(1)))
+    }
+}
+
+/// The word lengths the output of `stage` depends on, with every later
+/// stage's site masked to 0 (never a valid word length).
+fn stage_key(word_lengths: &[i32], stage: usize) -> [i32; NUM_VARIABLES] {
+    std::array::from_fn(|i| {
+        let site_stage = if i < STAGES {
+            i
+        } else {
+            TWIDDLE_STAGES.start + (i - STAGES)
+        };
+        if site_stage <= stage {
+            word_lengths[i]
+        } else {
+            0
+        }
+    })
 }
 
 impl FftBenchmark {
@@ -63,17 +115,37 @@ impl FftBenchmark {
     /// Panics if `num_frames == 0`.
     pub fn new(num_frames: usize, seed: u64) -> FftBenchmark {
         assert!(num_frames > 0, "need at least one input frame");
-        let frames: Vec<Vec<Complex>> = (0..num_frames)
-            .map(|i| complex_white_noise(seed.wrapping_add(i as u64), FFT_SIZE, 0.95))
+        let frames = input_frames(num_frames, seed);
+        let q_in = Quantizer::new(QFormat::new(0, 15).expect("Q0.15 is a valid format"));
+        let inputs = frames
+            .iter()
+            .flat_map(|frame| {
+                let quantized: Vec<Complex> = frame
+                    .iter()
+                    .map(|&(re, im)| (q_in.quantize(re), q_in.quantize(im)))
+                    .collect();
+                bit_reverse_permute(&quantized)
+            })
             .collect();
-        let references = frames.iter().map(|f| fft_reference(f)).collect();
-        FftBenchmark { frames, references }
+        let references = frames.iter().flat_map(|f| fft_reference(f)).collect();
+        FftBenchmark {
+            inputs,
+            references,
+            checkpoints: MemoCell::new(),
+        }
     }
 
     /// Number of input frames in the data set.
     pub fn num_frames(&self) -> usize {
-        self.frames.len()
+        self.references.len() / FFT_SIZE
     }
+}
+
+/// The benchmark's `num_frames` white-noise input frames from `seed`.
+fn input_frames(num_frames: usize, seed: u64) -> Vec<Vec<Complex>> {
+    (0..num_frames)
+        .map(|i| complex_white_noise(seed.wrapping_add(i as u64), FFT_SIZE, 0.95))
+        .collect()
 }
 
 /// Double-precision scaled FFT (the reference path): radix-2 DIT with the
@@ -99,7 +171,7 @@ pub fn fft_reference(input: &[Complex]) -> Vec<Complex> {
     assert_eq!(input.len(), FFT_SIZE, "expected {FFT_SIZE} points");
     let mut data = bit_reverse_permute(input);
     for stage in 0..STAGES {
-        run_stage(&mut data, stage, &mut |_, v| v, &mut |_, v| v);
+        run_stage(&mut data, stage, |v| v, |v| v);
     }
     data
 }
@@ -137,37 +209,54 @@ fn bit_reverse_permute(input: &[Complex]) -> Vec<Complex> {
     out
 }
 
-/// Runs one DIT stage in place. `q_mpy(stage, v)` quantizes twiddle-product
-/// components, `q_add(stage, v)` quantizes butterfly-output components; the
-/// identity closures give the double-precision reference.
+/// The twiddle factors of every stage: stage `s` owns entries
+/// `2^s − 1 .. 2^(s+1) − 1`, entry `k` being `e^(−2πjk / 2^(s+1))`. Each is
+/// the `cos`/`sin` of the same angle expression the butterflies evaluate,
+/// so the table is bit-identical to computing it inline.
+fn twiddles() -> &'static [Complex; FFT_SIZE - 1] {
+    static TABLE: OnceLock<[Complex; FFT_SIZE - 1]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = [(0.0, 0.0); FFT_SIZE - 1];
+        for stage in 0..STAGES {
+            let half = 1 << stage;
+            let span = half << 1;
+            for k in 0..half {
+                let ang = -2.0 * PI * k as f64 / span as f64;
+                table[half - 1 + k] = (ang.cos(), ang.sin());
+            }
+        }
+        table
+    })
+}
+
+/// Runs one DIT stage in place over whole frames (`data.len()` a multiple
+/// of `FFT_SIZE`). `q_mpy` quantizes twiddle-product components of the
+/// twiddle stages, `q_add` butterfly-output components; the identity
+/// closures give the double-precision reference.
 fn run_stage(
     data: &mut [Complex],
     stage: usize,
-    q_mpy: &mut dyn FnMut(usize, f64) -> f64,
-    q_add: &mut dyn FnMut(usize, f64) -> f64,
+    q_mpy: impl Fn(f64) -> f64,
+    q_add: impl Fn(f64) -> f64,
 ) {
-    let n = data.len();
     let half = 1 << stage; // butterflies per group
     let span = half << 1; // group size
-    for group in (0..n).step_by(span) {
-        for k in 0..half {
-            let ang = -2.0 * PI * k as f64 / span as f64;
-            let (wr, wi) = (ang.cos(), ang.sin());
-            let (ar, ai) = data[group + k];
-            let (br, bi) = data[group + k + half];
+    let twiddles = &twiddles()[half - 1..span - 1];
+    for group in data.chunks_exact_mut(span) {
+        let (tops, bottoms) = group.split_at_mut(half);
+        for ((top, bottom), &(wr, wi)) in tops.iter_mut().zip(bottoms).zip(twiddles) {
+            let (ar, ai) = *top;
+            let (br, bi) = *bottom;
             // Twiddle product; trivial for stages whose twiddles are ±1/∓j.
             let (tr, ti) = if stage < TWIDDLE_STAGES.start {
                 // w ∈ {1, -j}: exact data moves, no rounding in hardware.
                 (br * wr - bi * wi, br * wi + bi * wr)
             } else {
-                (
-                    q_mpy(stage, br * wr - bi * wi),
-                    q_mpy(stage, br * wi + bi * wr),
-                )
+                (q_mpy(br * wr - bi * wi), q_mpy(br * wi + bi * wr))
             };
             // Butterfly with 1/2 scaling to prevent overflow.
-            data[group + k] = (q_add(stage, (ar + tr) * 0.5), q_add(stage, (ai + ti) * 0.5));
-            data[group + k + half] = (q_add(stage, (ar - tr) * 0.5), q_add(stage, (ai - ti) * 0.5));
+            *top = (q_add((ar + tr) * 0.5), q_add((ai + ti) * 0.5));
+            *bottom = (q_add((ar - tr) * 0.5), q_add((ai - ti) * 0.5));
         }
     }
 }
@@ -178,7 +267,7 @@ impl WordLengthBenchmark for FftBenchmark {
     }
 
     fn num_variables(&self) -> usize {
-        STAGES + TWIDDLE_STAGES.len()
+        NUM_VARIABLES
     }
 
     fn noise_power(&self, word_lengths: &[i32]) -> Result<NoisePower, KernelError> {
@@ -201,38 +290,175 @@ impl WordLengthBenchmark for FftBenchmark {
                 )?))
             })
             .collect::<Result<_, KernelError>>()?;
-        let q_in = Quantizer::new(QFormat::new(0, 15)?);
+        let keys: [_; STAGES] = std::array::from_fn(|s| stage_key(word_lengths, s));
 
-        let mut meter = NoiseMeter::new();
-        for (frame, reference) in self.frames.iter().zip(&self.references) {
-            let quantized_input: Vec<Complex> = frame
-                .iter()
-                .map(|&(re, im)| (q_in.quantize(re), q_in.quantize(im)))
-                .collect();
-            let mut data = bit_reverse_permute(&quantized_input);
-            for stage in 0..STAGES {
+        self.checkpoints.with(|Checkpoints(stages)| {
+            // Every stored checkpoint belongs to the last configuration, and
+            // a longer prefix key contains every shorter one: the stages
+            // above the highest hit all miss.
+            let done = (0..STAGES)
+                .rev()
+                .find(|&s| stages[s].get(&keys[s]).is_some())
+                .map_or(0, |s| s + 1);
+            for s in done..STAGES {
+                let mut data = match s {
+                    0 => self.inputs.clone(),
+                    _ => stages[s - 1]
+                        .get(&keys[s - 1])
+                        .expect("the previous stage was just matched or stored")
+                        .clone(),
+                };
                 run_stage(
                     &mut data,
-                    stage,
-                    &mut |s, v| mpy_q[s - TWIDDLE_STAGES.start].quantize(v),
-                    &mut |s, v| add_q[s].quantize(v),
+                    s,
+                    |v| mpy_q[s - TWIDDLE_STAGES.start].quantize(v),
+                    |v| add_q[s].quantize(v),
                 );
+                stages[s].get_or_insert_with(keys[s], || data);
             }
-            for (&(fr, fi), &(rr, ri)) in data.iter().zip(reference) {
+            let output = stages[STAGES - 1]
+                .get(&keys[STAGES - 1])
+                .expect("the last stage was just matched or stored");
+            let mut meter = NoiseMeter::new();
+            for (&(fr, fi), &(rr, ri)) in output.iter().zip(&self.references) {
                 meter.record(rr, fr);
                 meter.record(ri, fi);
             }
-        }
-        Ok(meter.noise_power())
+            Ok(meter.noise_power())
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn small() -> FftBenchmark {
         FftBenchmark::new(8, 0xFF7_0003)
+    }
+
+    /// The unstaged stage loop, twiddles computed per butterfly.
+    fn oracle_stage(
+        data: &mut [Complex],
+        stage: usize,
+        q_mpy: &mut dyn FnMut(usize, f64) -> f64,
+        q_add: &mut dyn FnMut(usize, f64) -> f64,
+    ) {
+        let n = data.len();
+        let half = 1 << stage;
+        let span = half << 1;
+        for group in (0..n).step_by(span) {
+            for k in 0..half {
+                let ang = -2.0 * PI * k as f64 / span as f64;
+                let (wr, wi) = (ang.cos(), ang.sin());
+                let (ar, ai) = data[group + k];
+                let (br, bi) = data[group + k + half];
+                let (tr, ti) = if stage < TWIDDLE_STAGES.start {
+                    (br * wr - bi * wi, br * wi + bi * wr)
+                } else {
+                    (
+                        q_mpy(stage, br * wr - bi * wi),
+                        q_mpy(stage, br * wi + bi * wr),
+                    )
+                };
+                data[group + k] = (q_add(stage, (ar + tr) * 0.5), q_add(stage, (ai + ti) * 0.5));
+                data[group + k + half] =
+                    (q_add(stage, (ar - tr) * 0.5), q_add(stage, (ai - ti) * 0.5));
+            }
+        }
+    }
+
+    fn oracle_reference(input: &[Complex]) -> Vec<Complex> {
+        let mut data = bit_reverse_permute(input);
+        for stage in 0..STAGES {
+            oracle_stage(&mut data, stage, &mut |_, v| v, &mut |_, v| v);
+        }
+        data
+    }
+
+    /// The unstaged noise power: each frame quantized, permuted and
+    /// transformed afresh on every call.
+    fn oracle_noise_power(frames: &[Vec<Complex>], w: &[i32]) -> NoisePower {
+        let q = |wl: i32| Quantizer::new(QFormat::with_word_length(0, wl).unwrap());
+        let add_q: Vec<Quantizer> = (0..STAGES).map(|s| q(w[s])).collect();
+        let mpy_q: Vec<Quantizer> = TWIDDLE_STAGES
+            .map(|s| q(w[STAGES + s - TWIDDLE_STAGES.start]))
+            .collect();
+        let q_in = Quantizer::new(QFormat::new(0, 15).unwrap());
+        let mut meter = NoiseMeter::new();
+        for frame in frames {
+            let reference = oracle_reference(frame);
+            let quantized: Vec<Complex> = frame
+                .iter()
+                .map(|&(re, im)| (q_in.quantize(re), q_in.quantize(im)))
+                .collect();
+            let mut data = bit_reverse_permute(&quantized);
+            for stage in 0..STAGES {
+                oracle_stage(
+                    &mut data,
+                    stage,
+                    &mut |s, v| mpy_q[s - TWIDDLE_STAGES.start].quantize(v),
+                    &mut |s, v| add_q[s].quantize(v),
+                );
+            }
+            for (&(fr, fi), &(rr, ri)) in data.iter().zip(&reference) {
+                meter.record(rr, fr);
+                meter.record(ri, fi);
+            }
+        }
+        meter.noise_power()
+    }
+
+    #[test]
+    fn checkpointed_kernel_equals_the_unstaged_oracle_bit_for_bit() {
+        let (num_frames, seed) = (8, 0xFF7_0003);
+        let b = FftBenchmark::new(num_frames, seed);
+        let frames = input_frames(num_frames, seed);
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut w = vec![12; NUM_VARIABLES];
+        let mut seen = vec![w.clone()];
+        for step in 0..200 {
+            if rng.gen_range(0..5) == 0 {
+                w = seen[rng.gen_range(0..seen.len())].clone();
+            } else {
+                let i = rng.gen_range(0..NUM_VARIABLES);
+                w[i] = rng.gen_range(4..17);
+                seen.push(w.clone());
+            }
+            let checkpointed = b.noise_power(&w).unwrap().linear();
+            let oracle = oracle_noise_power(&frames, &w).linear();
+            assert_eq!(
+                checkpointed.to_bits(),
+                oracle.to_bits(),
+                "step {step}: {w:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn twiddle_table_reference_equals_the_inline_oracle() {
+        for seed in 0..4 {
+            let x = complex_white_noise(seed, FFT_SIZE, 0.9);
+            for (a, o) in fft_reference(&x).iter().zip(&oracle_reference(&x)) {
+                assert_eq!(
+                    (a.0.to_bits(), a.1.to_bits()),
+                    (o.0.to_bits(), o.1.to_bits())
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stage_keys_mask_exactly_the_later_stages() {
+        let w: Vec<i32> = (2..12).collect();
+        assert_eq!(stage_key(&w, 0), [2, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(stage_key(&w, 2), [2, 3, 4, 0, 0, 0, 8, 0, 0, 0]);
+        assert_eq!(
+            stage_key(&w, STAGES - 1),
+            *<&[i32; 10]>::try_from(&w[..]).unwrap()
+        );
     }
 
     #[test]

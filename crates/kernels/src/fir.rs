@@ -38,8 +38,13 @@ pub const VAR_MPY: usize = 1;
 /// ```
 #[derive(Debug, Clone)]
 pub struct FirBenchmark {
+    /// Design coefficients (double precision).
     taps: Vec<f64>,
-    input: Vec<f64>,
+    /// Coefficients and input samples pre-quantized to `Q0.15`, exactly as
+    /// a 16-bit front end would deliver them; the optimization variables
+    /// are the *internal* word-lengths only.
+    taps_fx: Vec<f64>,
+    input_fx: Vec<f64>,
     reference: Vec<f64>,
 }
 
@@ -62,9 +67,11 @@ impl FirBenchmark {
         let taps = lowpass_fir(taps, cutoff);
         let input = white_noise(seed, samples, 0.95);
         let reference = convolve(&taps, &input);
+        let q_in = Quantizer::new(QFormat::new(0, 15).expect("Q0.15 is a valid format"));
         FirBenchmark {
+            taps_fx: q_in.quantize_slice(&taps),
+            input_fx: q_in.quantize_slice(&input),
             taps,
-            input,
             reference,
         }
     }
@@ -76,7 +83,7 @@ impl FirBenchmark {
 
     /// Number of input samples in the data set.
     pub fn num_samples(&self) -> usize {
-        self.input.len()
+        self.input_fx.len()
     }
 }
 
@@ -107,21 +114,15 @@ impl WordLengthBenchmark for FirBenchmark {
         // bits. The accumulator needs headroom for Σ|h| ≈ 1.2: 1 integer bit.
         let q_add = Quantizer::new(QFormat::with_word_length(1, word_lengths[VAR_ADD])?);
         let q_mpy = Quantizer::new(QFormat::with_word_length(0, word_lengths[VAR_MPY])?);
-        // Inputs and coefficients are pre-quantized to a generous fixed
-        // format (Q0.15) exactly as a 16-bit front-end would deliver them;
-        // the optimization variables are the *internal* word-lengths only.
-        let q_in = Quantizer::new(QFormat::new(0, 15)?);
-        let taps_fx = q_in.quantize_slice(&self.taps);
-        let input_fx = q_in.quantize_slice(&self.input);
 
         let mut meter = krigeval_fixedpoint::NoiseMeter::new();
-        for n in 0..input_fx.len() {
+        for n in 0..self.input_fx.len() {
             let mut acc = 0.0;
-            for (k, h) in taps_fx.iter().enumerate() {
+            for (k, h) in self.taps_fx.iter().enumerate() {
                 if k > n {
                     break;
                 }
-                let product = q_mpy.quantize(h * input_fx[n - k]);
+                let product = q_mpy.quantize(h * self.input_fx[n - k]);
                 acc = q_add.quantize(acc + product);
             }
             meter.record(self.reference[n], acc);
@@ -199,8 +200,9 @@ mod tests {
     #[test]
     fn reference_matches_naive_convolution_start() {
         let f = small();
+        let input = white_noise(0xF1E6_4001, 512, 0.95);
         // y[0] = h[0]·x[0].
-        assert!((f.reference[0] - f.taps[0] * f.input[0]).abs() < 1e-15);
+        assert!((f.reference[0] - f.taps[0] * input[0]).abs() < 1e-15);
     }
 
     #[test]

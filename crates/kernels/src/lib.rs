@@ -53,6 +53,7 @@ pub mod fir;
 pub mod hevc;
 pub mod iir;
 pub mod lms;
+mod memo;
 pub mod signal;
 
 pub use benchmark::WordLengthBenchmark;
